@@ -23,16 +23,17 @@ type verdict =
   | Pass
   | Fail of { case : string; reason : string }
 
-let run_case ?budget suite prog (c : case) =
-  (* One [interp] span per executed test case; the reference runs that
-     produce expected outputs trace the same way, nested under whatever
-     stage invoked them. *)
+(* One [interp] span per executed test case; the reference runs that
+   produce expected outputs trace the same way, nested under whatever
+   stage invoked them.  Compiling is outside the span: the suite-level
+   entry points compile a program once for all of its cases. *)
+let exec_case ?budget suite compiled (c : case) =
   let tr = Jfeed_trace.Trace.current () in
   Jfeed_trace.Trace.span tr "interp" (fun () ->
       let out =
-        Interp.run ?budget
+        Interp.exec ?budget
           ~config:{ Interp.files = c.files; max_steps = suite.max_steps }
-          prog ~entry:suite.entry ~args:c.args
+          compiled ~entry:suite.entry ~args:c.args
       in
       if Jfeed_trace.Trace.enabled tr then begin
         Jfeed_trace.Trace.add_attr tr "case" c.label;
@@ -40,13 +41,17 @@ let run_case ?budget suite prog (c : case) =
       end;
       out)
 
+let run_case ?budget suite prog c =
+  exec_case ?budget suite (Interp.compile prog) c
+
 (** Outputs of the reference solution, one per case.  Raises
     [Invalid_argument] if the reference itself fails — a harness bug, not
     a grading outcome. *)
 let expected_outputs suite (reference : Ast.program) =
+  let compiled = Interp.compile reference in
   List.map
     (fun c ->
-      let out = run_case suite reference c in
+      let out = exec_case suite compiled c in
       match out.Interp.error with
       | None -> out.Interp.stdout
       | Some e ->
@@ -55,11 +60,12 @@ let expected_outputs suite (reference : Ast.program) =
     suite.cases
 
 let run ?budget suite ~expected (prog : Ast.program) =
+  let compiled = Interp.compile prog in
   let rec go cases expects =
     match (cases, expects) with
     | [], [] -> Pass
     | c :: cs, want :: ws -> (
-        let out = run_case ?budget suite prog c in
+        let out = exec_case ?budget suite compiled c in
         match out.Interp.error with
         | Some e -> Fail { case = c.label; reason = "error: " ^ e }
         | None ->
@@ -97,6 +103,7 @@ type report = {
 }
 
 let report ?budget ?(early_exit = false) suite ~expected prog =
+  let compiled = Interp.compile prog in
   let total = List.length suite.cases in
   let finish ran passed fails =
     { rep_total = total; rep_ran = ran; rep_passed = passed;
@@ -106,7 +113,7 @@ let report ?budget ?(early_exit = false) suite ~expected prog =
     match (cases, expects) with
     | [], [] -> finish ran passed fails
     | c :: cs, want :: ws -> (
-        let out = run_case ?budget suite prog c in
+        let out = exec_case ?budget suite compiled c in
         let failed reason =
           let fails = (c.label, reason) :: fails in
           if early_exit then finish (ran + 1) passed fails

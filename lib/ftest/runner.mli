@@ -25,7 +25,9 @@ val run_case :
   case ->
   Jfeed_interp.Interp.outcome
 (** [?budget] is the shared grading fuel pool, spent by the interpreter
-    one unit per execution step ({!Jfeed_interp.Interp.run}). *)
+    one unit per execution step ({!Jfeed_interp.Interp.run}).  Compiles
+    the program for this one case; {!run}, {!report}, {!screen} and
+    {!expected_outputs} compile once per suite. *)
 
 val expected_outputs : suite -> Jfeed_java.Ast.program -> string list
 (** Outputs of the reference solution, one per case.  Raises

@@ -1,4 +1,4 @@
-(** Big-step interpreter for the Java subset.
+(** Compiled interpreter for the Java subset.
 
     Replaces the JVM for functional testing: programs print to a captured
     stdout, read files from a virtual file system through
@@ -6,11 +6,21 @@
     infinite-loop submissions the paper worries about terminate with a
     distinguishable outcome instead of hanging the harness.
 
+    {!compile} resolves a program once — variables to frame slots, calls
+    to method cells and pre-dispatched builtins — into OCaml closures;
+    {!exec} runs them.  {!run} is the two together.  One execution step
+    is one executed statement, one loop iteration or one call; see
+    DESIGN.md §17 for the exact accounting.
+
     Semantics notes:
     - [int] arithmetic wraps at 32 bits like the JVM ({!Value.wrap32});
     - [==] on strings is reference equality (use [.equals]);
     - division/modulo by zero, array bounds, missing files and Scanner
-      misuse surface as runtime errors in {!outcome}. *)
+      misuse surface as runtime errors in {!outcome}, and so does a
+      [break] or [continue] that escapes a method body ("break outside
+      switch or loop", "continue outside of loop");
+    - a read-modify-write target ([a[i++] += 5], [a[i++]++]) is
+      evaluated once. *)
 
 exception Runtime_error of string
 exception Step_limit
@@ -38,6 +48,24 @@ type outcome = {
           ["fuel budget exhausted"] (shared grading budget ran dry) *)
 }
 
+type program
+(** A compiled program: immutable, reusable across runs and domains. *)
+
+val compile : Jfeed_java.Ast.program -> program
+(** Resolve and compile every method.  Total: whatever cannot run
+    (an unknown method, an undefined variable, an unsupported builtin)
+    compiles to code that fails at run time, when and if it is reached,
+    exactly as an interpreter would. *)
+
+val exec :
+  ?budget:Jfeed_budget.Budget.t ->
+  ?config:config ->
+  program ->
+  entry:string ->
+  args:Value.t list ->
+  outcome
+(** Run a compiled program; see {!run}. *)
+
 val run :
   ?budget:Jfeed_budget.Budget.t ->
   ?config:config ->
@@ -50,7 +78,7 @@ val run :
     unit of {!Jfeed_budget.Budget.Interp} fuel from [budget] (shared
     across runs), unifying the interpreter's step budget with the rest
     of the grading pipeline; [config.max_steps] remains the per-run
-    ceiling. *)
+    ceiling.  [run p] is [exec (compile p)]. *)
 
 val run_source :
   ?budget:Jfeed_budget.Budget.t ->

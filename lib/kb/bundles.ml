@@ -7,11 +7,41 @@ open Jfeed_exprmatch
 module E = Jfeed_pdg.Epdg
 module V = Jfeed_interp.Value
 
+(* Artefacts derived from the reference solution, computed on first
+   use and shared by every submission graded against the bundle. *)
+type memo = {
+  reference : Jfeed_java.Ast.program option Atomic.t;
+  degrees : (string * int) list option Atomic.t;
+}
+
 type t = {
   gen : Jfeed_gen.Spec.t;
   grading : Grader.spec;
   suite : Jfeed_ftest.Runner.suite;
+  memo : memo;
 }
+
+let new_memo () = { reference = Atomic.make None; degrees = Atomic.make None }
+
+(* Compute, then publish with a CAS.  Domains that race may each
+   compute; the first to publish wins and all return its value.  (A
+   [Lazy.t] must not be forced from two domains at once.)  A computation
+   that raises publishes nothing. *)
+let once cell f =
+  match Atomic.get cell with
+  | Some v -> v
+  | None ->
+      let v = f () in
+      if Atomic.compare_and_set cell None (Some v) then v
+      else Option.get (Atomic.get cell)
+
+let reference t =
+  once t.memo.reference (fun () ->
+      Jfeed_java.Parser.parse_program (Jfeed_gen.Spec.reference t.gen))
+
+let oracle_degrees t =
+  once t.memo.degrees (fun () ->
+      Jfeed_absint.Passes.method_degrees (reference t))
 
 let patterns t = List.concat_map (fun q -> q.Grader.q_patterns) t.grading.Grader.a_methods
 let constraints t = List.concat_map (fun q -> q.Grader.q_constraints) t.grading.Grader.a_methods
@@ -69,6 +99,7 @@ let assignment1 =
     }
   in
   {
+    memo = new_memo ();
     gen = Jfeed_gen.A_assignment1.spec;
     grading =
       {
@@ -277,6 +308,7 @@ let search_suite ~entry ~ks ~max_steps =
 
 let esc_p1v1 =
   {
+    memo = new_memo ();
     gen = Jfeed_gen.A_esc_search.p1v1;
     grading =
       {
@@ -298,6 +330,7 @@ let esc_p1v1 =
 
 let esc_p2v1 =
   {
+    memo = new_memo ();
     gen = Jfeed_gen.A_esc_search.p2v1;
     grading =
       {
@@ -368,6 +401,7 @@ let esc_p2v2 =
     }
   in
   {
+    memo = new_memo ();
     gen = Jfeed_gen.A_esc_digits.p2v2;
     grading =
       {
@@ -439,6 +473,7 @@ let esc_p3v1 =
     }
   in
   {
+    memo = new_memo ();
     gen = Jfeed_gen.A_esc_digits.p3v1;
     grading =
       {
@@ -510,6 +545,7 @@ let esc_p4v1 =
     }
   in
   {
+    memo = new_memo ();
     gen = Jfeed_gen.A_esc_digits.p4v1;
     grading =
       {
@@ -622,6 +658,7 @@ let range_suite ~entry ~pairs ~max_steps =
 
 let esc_p3v2 =
   {
+    memo = new_memo ();
     gen = Jfeed_gen.A_esc_count.p3v2;
     grading =
       {
@@ -643,6 +680,7 @@ let esc_p3v2 =
 
 let esc_p4v2 =
   {
+    memo = new_memo ();
     gen = Jfeed_gen.A_esc_count.p4v2;
     grading =
       {
@@ -705,6 +743,7 @@ let mitx_derivatives =
     }
   in
   {
+    memo = new_memo ();
     gen = Jfeed_gen.A_mitx.derivatives;
     grading =
       {
@@ -778,6 +817,7 @@ let mitx_polynomials =
     }
   in
   {
+    memo = new_memo ();
     gen = Jfeed_gen.A_mitx.polynomials;
     grading =
       {
@@ -887,6 +927,7 @@ let rit_q ~name ~extra_constraints =
 
 let rit_gold =
   {
+    memo = new_memo ();
     gen = Jfeed_gen.A_rit.all_g_medals;
     grading =
       {
@@ -933,6 +974,7 @@ let rit_gold =
 
 let rit_ath =
   {
+    memo = new_memo ();
     gen = Jfeed_gen.A_rit.medals_by_ath;
     grading =
       {

@@ -2,11 +2,27 @@
     grading specification (columns P and C), and the functional-test
     suite (column T) for each of the paper's twelve assignments. *)
 
+type memo
+(** Per-bundle cache of the artefacts derived from the reference
+    solution; see {!reference} and {!oracle_degrees}. *)
+
 type t = {
   gen : Jfeed_gen.Spec.t;
   grading : Jfeed_core.Grader.spec;
   suite : Jfeed_ftest.Runner.suite;
+  memo : memo;
 }
+
+val reference : t -> Jfeed_java.Ast.program
+(** The parsed reference solution ([Spec.reference] of [gen]), parsed
+    once per bundle and shared by every caller.  Safe to call from any
+    domain: the memo is published with a compare-and-set, never a
+    [Lazy.t].  The AST is immutable, so sharing it is sound. *)
+
+val oracle_degrees : t -> (string * int) list
+(** [Jfeed_absint.Passes.method_degrees] of {!reference}: the reference's
+    static cost signature, computed once per bundle, same domain
+    safety. *)
 
 val patterns : t -> (Jfeed_core.Pattern.t * int) list
 (** All (pattern, t̄) usages across the assignment's expected methods —

@@ -148,8 +148,7 @@ let search ?(fuel = default_fuel) ?deadline_s ?(jobs = 1) (b : Jfeed_kb.Bundles.
   | prog, srcmap -> (
       let expected =
         protect (fun () ->
-            let reference = Parser.parse_program (Jfeed_gen.Spec.reference b.gen) in
-            Runner.expected_outputs b.suite reference)
+            Runner.expected_outputs b.suite (Jfeed_kb.Bundles.reference b))
       in
       match expected with
       | Error e ->

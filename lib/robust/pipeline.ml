@@ -125,16 +125,10 @@ let analyze_stage ?oracle_degrees (prog, srcmap) =
   | Ok diags -> diags
   | Error _ -> []
 
-(* The per-method polynomial degrees of the bundle's reference solution.
-   Recomputed per assessment like the expected test outputs — the
-   fixpoint over a reference method costs microseconds — so workers
-   share no state. *)
+(* The per-method polynomial degrees of the bundle's reference solution,
+   computed once per bundle ({!Bundles.oracle_degrees}). *)
 let oracle_degrees (b : Bundles.t) =
-  match
-    protect (fun () ->
-        Jfeed_absint.Passes.method_degrees
-          (Parser.parse_program (Jfeed_gen.Spec.reference b.Bundles.gen)))
-  with
+  match protect (fun () -> Bundles.oracle_degrees b) with
   | Ok ds -> ds
   | Error _ -> []
 
@@ -155,10 +149,9 @@ let run_tests ?budget (b : Bundles.t) prog =
   Trace.span (Trace.current ()) "tests" @@ fun () ->
   match
     protect (fun () ->
-        let reference =
-          Parser.parse_program (Jfeed_gen.Spec.reference b.Bundles.gen)
+        let expected =
+          Runner.expected_outputs b.Bundles.suite (Bundles.reference b)
         in
-        let expected = Runner.expected_outputs b.Bundles.suite reference in
         Runner.run ?budget b.Bundles.suite ~expected prog)
   with
   | Ok Runner.Pass -> (Outcome.Tests_passed, [])

@@ -220,6 +220,28 @@ let one_flip_case (b : Bundles.t) =
     done
   done
 
+(* The reference artefacts are computed once per bundle, from any
+   domain, and equal a fresh computation. *)
+let test_reference_memo () =
+  let got =
+    Jfeed_parallel.Pool.map ~jobs:2
+      ~f:(fun (b : Bundles.t) -> (Bundles.reference b, Bundles.oracle_degrees b))
+      (Array.of_list (Bundles.all @ Bundles.all))
+  in
+  List.iteri
+    (fun i (b : Bundles.t) ->
+      let id = b.Bundles.grading.Grader.a_id in
+      let fresh =
+        Jfeed_java.Parser.parse_program (Jfeed_gen.Spec.reference b.Bundles.gen)
+      in
+      let r, d = got.(i) and r', d' = got.(i + List.length Bundles.all) in
+      Alcotest.(check bool) (id ^ ": one parse per bundle") true
+        (r == r' && r == Bundles.reference b);
+      Alcotest.(check bool) (id ^ ": same AST as a fresh parse") true (r = fresh);
+      Alcotest.(check bool) (id ^ ": degrees") true
+        (d = d' && d = Jfeed_absint.Passes.method_degrees fresh))
+    Bundles.all
+
 let one_flip_tests =
   List.map
     (fun (b : Bundles.t) ->
@@ -243,5 +265,7 @@ let suite =
     Alcotest.test_case "references pass their suites" `Quick
       test_references_pass_their_suites;
     Alcotest.test_case "reference oracles" `Quick test_reference_oracles;
+    Alcotest.test_case "reference artefacts memoised per bundle" `Quick
+      test_reference_memo;
   ]
   @ one_flip_tests
