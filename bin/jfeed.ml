@@ -1230,9 +1230,7 @@ let lint_kb_cmd =
 let test_cmd =
   let run b path =
     let suite = b.Bundles.suite in
-    let expected =
-      Jfeed_ftest.Runner.expected_outputs suite (Bundles.reference b)
-    in
+    let expected = Bundles.expected_outputs b in
     match Jfeed_java.Parser.parse_program (read_file path) with
     | exception Jfeed_java.Parser.Parse_error (msg, line, col) ->
         Printf.eprintf "parse error at %d:%d: %s\n" line col msg;

@@ -21,13 +21,28 @@ type t = {
   digest : string;  (** hex *)
 }
 
+(** The α-normalized AST digest of a parsed program. *)
+let of_program prog =
+  let canonical = Pretty.program (Normalize.alpha_rename prog) in
+  { ast = true; digest = Digest.to_hex (Digest.string canonical) }
+
+(** The raw-bytes digest, for sources with no usable AST. *)
+let of_raw src = { ast = false; digest = Digest.to_hex (Digest.string src) }
+
+(** The fingerprint of [src] given its parse ([None]: it did not parse).
+    Total: a program that parses but cannot be normalised (an exception
+    in [of_program]) falls back to its raw bytes, like unparseable
+    input. *)
+let of_parse src = function
+  | None -> of_raw src
+  | Some prog -> ( try of_program prog with _ -> of_raw src)
+
+(** Parse [src], then {!of_parse}: the serve cache's entry point. *)
 let of_source src =
-  match Parser.parse_program src with
-  | prog ->
-      let canonical = Pretty.program (Normalize.alpha_rename prog) in
-      { ast = true; digest = Digest.to_hex (Digest.string canonical) }
-  | exception _ ->
-      { ast = false; digest = Digest.to_hex (Digest.string src) }
+  of_parse src
+    (match Parser.parse_program src with
+    | prog -> Some prog
+    | exception _ -> None)
 
 (** The fingerprint as one string, ["ast:<hex>"] or ["raw:<hex>"] —
     distinct namespaces, so an AST digest can never collide with a

@@ -12,6 +12,7 @@ module V = Jfeed_interp.Value
 type memo = {
   reference : Jfeed_java.Ast.program option Atomic.t;
   degrees : (string * int) list option Atomic.t;
+  expected : string list option Atomic.t;
 }
 
 type t = {
@@ -21,7 +22,12 @@ type t = {
   memo : memo;
 }
 
-let new_memo () = { reference = Atomic.make None; degrees = Atomic.make None }
+let new_memo () =
+  {
+    reference = Atomic.make None;
+    degrees = Atomic.make None;
+    expected = Atomic.make None;
+  }
 
 (* Compute, then publish with a CAS.  Domains that race may each
    compute; the first to publish wins and all return its value.  (A
@@ -42,6 +48,13 @@ let reference t =
 let oracle_degrees t =
   once t.memo.degrees (fun () ->
       Jfeed_absint.Passes.method_degrees (reference t))
+
+(* Run with tracing off: the reference's interpreter spans would land in
+   whichever submission's trace happened to come first. *)
+let expected_outputs t =
+  once t.memo.expected (fun () ->
+      Jfeed_trace.Trace.with_current Jfeed_trace.Trace.disabled (fun () ->
+          Jfeed_ftest.Runner.expected_outputs t.suite (reference t)))
 
 let patterns t = List.concat_map (fun q -> q.Grader.q_patterns) t.grading.Grader.a_methods
 let constraints t = List.concat_map (fun q -> q.Grader.q_constraints) t.grading.Grader.a_methods

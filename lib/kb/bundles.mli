@@ -4,7 +4,8 @@
 
 type memo
 (** Per-bundle cache of the artefacts derived from the reference
-    solution; see {!reference} and {!oracle_degrees}. *)
+    solution; see {!reference}, {!oracle_degrees} and
+    {!expected_outputs}. *)
 
 type t = {
   gen : Jfeed_gen.Spec.t;
@@ -23,6 +24,14 @@ val oracle_degrees : t -> (string * int) list
 (** [Jfeed_absint.Passes.method_degrees] of {!reference}: the reference's
     static cost signature, computed once per bundle, same domain
     safety. *)
+
+val expected_outputs : t -> string list
+(** [Jfeed_ftest.Runner.expected_outputs] of the bundle's suite on
+    {!reference}: what every submission's test output is compared with,
+    computed once per bundle, same domain safety.  The reference runs
+    with tracing off, so no submission's trace carries it.  A failing
+    reference raises [Invalid_argument] on every call: nothing is
+    memoised when the computation raises. *)
 
 val patterns : t -> (Jfeed_core.Pattern.t * int) list
 (** All (pattern, t̄) usages across the assignment's expected methods —

@@ -1,22 +1,5 @@
-(** Domain worker pool: chunked distribution, deterministic merge.
+(** Domain worker pool: per-item claiming, deterministic merge.
     See pool.mli for the contract. *)
-
-let chunks ~n ~jobs =
-  if n <= 0 then []
-  else begin
-    let jobs = max 1 jobs in
-    (* About 4 chunks per worker: small enough that the atomic cursor
-       rebalances around expensive items, large enough that claiming a
-       chunk (one fetch-and-add) is noise. *)
-    let size = max 1 (n / (jobs * 4)) in
-    let rec go start acc =
-      if start >= n then List.rev acc
-      else
-        let len = min size (n - start) in
-        go (start + len) ((start, len) :: acc)
-    in
-    go 0 []
-  end
 
 let map ?(trace = Jfeed_trace.Trace.disabled) ~jobs ~f a =
   let n = Array.length a in
@@ -31,21 +14,17 @@ let map ?(trace = Jfeed_trace.Trace.disabled) ~jobs ~f a =
   if jobs <= 1 || n <= 1 then Array.map f a
   else begin
     let workers = min jobs n in
-    let cs = Array.of_list (chunks ~n ~jobs:workers) in
     let out = Array.make n None in
     let cursor = Atomic.make 0 in
     let worker () =
       let rec claim () =
         let i = Atomic.fetch_and_add cursor 1 in
-        if i < Array.length cs then begin
-          let start, len = cs.(i) in
-          for j = start to start + len - 1 do
-            out.(j) <-
-              Some
-                (match f a.(j) with
-                | v -> Ok v
-                | exception e -> Error (e, Printexc.get_raw_backtrace ()))
-          done;
+        if i < n then begin
+          out.(i) <-
+            Some
+              (match f a.(i) with
+              | v -> Ok v
+              | exception e -> Error (e, Printexc.get_raw_backtrace ()));
           claim ()
         end
       in

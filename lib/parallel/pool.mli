@@ -1,25 +1,23 @@
 (** Domain-based worker pool for batch grading (OCaml 5 multicore).
 
-    The pool maps a function over an array on [jobs] domains with
-    {e chunked} work distribution — workers claim contiguous index
-    ranges from a shared atomic cursor, so load balances even when item
-    costs are wildly uneven (one pathological submission does not stall
-    a whole static partition) — and a {e deterministic merge}: result
-    [i] always lands in slot [i], so the output is byte-identical to the
-    sequential run whatever the scheduling.
+    The pool maps a function over an array on [jobs] domains.  Workers
+    claim {e one index at a time}, in increasing order, from a shared
+    atomic cursor, so load balances even when item costs are wildly
+    uneven (one pathological submission does not stall a static
+    partition), and index [i] is claimed only after every lower index
+    has been.  The mapped function may therefore block until
+    lower-index items reach some point of their own work
+    ({!Jfeed_robust.Pipeline.run_batch} takes dedup classes in index
+    order this way): each of those items is already held by a running
+    worker.  The merge is {e deterministic}: result [i] always lands in
+    slot [i], so the output is byte-identical to the sequential run
+    whatever the scheduling.
 
-    The mapped function must not touch shared mutable state; everything
-    in the grading pipeline satisfies this (per-submission budgets,
-    domain-local regex memo in [Jfeed_exprmatch.Template], per-call
-    embedding caches in [Jfeed_core.Grader]). *)
-
-val chunks : n:int -> jobs:int -> (int * int) list
-(** [chunks ~n ~jobs] — the (start, length) work units used to
-    distribute [n] items over [jobs] workers: contiguous, disjoint,
-    covering [0..n-1] in order, each about a quarter of an even
-    per-worker share (so the atomic cursor can rebalance).  A pure
-    function of [(n, jobs)]: the decomposition never depends on timing.
-    Empty iff [n = 0]. *)
+    The mapped function must not touch shared mutable state without
+    synchronising; everything in the grading pipeline satisfies this
+    (per-submission budgets, domain-local regex memo in
+    [Jfeed_exprmatch.Template], per-call embedding caches in
+    [Jfeed_core.Grader], the batch's mutex-guarded dedup classes). *)
 
 val map :
   ?trace:Jfeed_trace.Trace.t ->

@@ -147,8 +147,7 @@ let search ?(fuel = default_fuel) ?deadline_s ?(jobs = 1) (b : Jfeed_kb.Bundles.
   | exception e -> finish (empty_outcome (Unrepairable (Printexc.to_string e)))
   | prog, srcmap -> (
       let expected =
-        protect (fun () ->
-            Runner.expected_outputs b.suite (Jfeed_kb.Bundles.reference b))
+        protect (fun () -> Jfeed_kb.Bundles.expected_outputs b)
       in
       match expected with
       | Error e ->

@@ -149,10 +149,8 @@ let run_tests ?budget (b : Bundles.t) prog =
   Trace.span (Trace.current ()) "tests" @@ fun () ->
   match
     protect (fun () ->
-        let expected =
-          Runner.expected_outputs b.Bundles.suite (Bundles.reference b)
-        in
-        Runner.run ?budget b.Bundles.suite ~expected prog)
+        Runner.run ?budget b.Bundles.suite
+          ~expected:(Bundles.expected_outputs b) prog)
   with
   | Ok Runner.Pass -> (Outcome.Tests_passed, [])
   | Ok (Runner.Fail { case; reason }) ->
@@ -161,9 +159,8 @@ let run_tests ?budget (b : Bundles.t) prog =
         if fuel_died then [ Outcome.Interp_exhausted ] else [] )
   | Error e -> (Outcome.Tests_not_run, [ Outcome.Tests_skipped e ])
 
-let assess ?budget ?normalize ?use_variants ?inline_helpers
-    ?(with_tests = true) (b : Bundles.t) src =
-  match parse_stage src with
+let assess_parsed ?budget ?normalize ?use_variants ?inline_helpers
+    ?(with_tests = true) (b : Bundles.t) = function
   | Error d -> Outcome.Rejected d
   | Ok ((prog, _) as parsed) ->
       let diags =
@@ -178,6 +175,11 @@ let assess ?budget ?normalize ?use_variants ?inline_helpers
         else (Outcome.Tests_not_run, [])
       in
       outcome_of ~tests ~diags grading (reasons @ test_reasons)
+
+let assess ?budget ?normalize ?use_variants ?inline_helpers ?with_tests b src
+    =
+  assess_parsed ?budget ?normalize ?use_variants ?inline_helpers ?with_tests b
+    (parse_stage src)
 
 (* ------------------------------------------------------------------ *)
 (* Batch driver                                                        *)
@@ -213,21 +215,21 @@ type summary = {
   items : item list;
 }
 
-let grade_submission ?fuel ?deadline_s ?rid ?with_tests
-    ?(name = "<submission>") ?(trace = Trace.disabled) (b : Bundles.t) src =
-  (* The single-submission serving entry: a fresh budget per call — the
-     same per-submission isolation the batch driver gives each item —
-     and total even against bugs in the pipeline itself.  The KB bundle
-     is a static value, so a long-lived server pays no per-request
-     loading cost. *)
-  let budget =
-    match (fuel, deadline_s) with
-    | None, None -> Budget.unlimited ()
-    | _ -> Budget.create ?fuel ?deadline_s ()
-  in
+let budget_of ?fuel ?deadline_s () =
+  match (fuel, deadline_s) with
+  | None, None -> Budget.unlimited ()
+  | _ -> Budget.create ?fuel ?deadline_s ()
+
+(* Assess under [budget] and [trace], with any failure landing in the
+   item's outcome.  [parse] runs inside the assessment (so a [rid]'s
+   request span covers it); the caller creates [budget] first, so a
+   deadline's clock includes the parse. *)
+let grade_with ~budget ?rid ?with_tests ~name ~trace (b : Bundles.t) parse =
   let assess_traced () =
     Trace.with_current trace (fun () ->
-        match protect (fun () -> assess ~budget ?with_tests b src) with
+        match
+          protect (fun () -> assess_parsed ~budget ?with_tests b (parse ()))
+        with
         | Ok o -> o
         | Error e ->
             Outcome.Rejected { Outcome.stage = "internal"; message = e })
@@ -247,104 +249,156 @@ let grade_submission ?fuel ?deadline_s ?rid ?with_tests
       (Budget.spent_by budget);
   { file = name; outcome; fuel_spent = Budget.spent budget; trace }
 
-(* Replay a representative's item for another member of its equivalence
-   class.  The grading report, test verdict, degradation reasons and
-   fuel count are α-invariant — the matcher's search is structural, so
-   two α-equivalent programs take the same steps to the same verdict —
-   but analysis diagnostics quote source positions and variable names,
-   which consistent renaming and reformatting *do* change.  So the
-   member keeps the representative's grading/tests wholesale and re-runs
-   only the (cheap, total) parse + analysis stages on its own bytes.
+let grade_submission ?fuel ?deadline_s ?rid ?with_tests
+    ?(name = "<submission>") ?(trace = Trace.disabled) (b : Bundles.t) src =
+  (* The single-submission serving entry: a fresh budget per call — the
+     same per-submission isolation the batch driver gives each item —
+     and total even against bugs in the pipeline itself.  The KB bundle
+     is a static value, so a long-lived server pays no per-request
+     loading cost. *)
+  grade_with ~budget:(budget_of ?fuel ?deadline_s ()) ?rid ?with_tests ~name
+    ~trace b (fun () -> parse_stage src)
+
+(* Batch dedup's class table, filled in index order: item [i] looks up
+   or inserts its fingerprint only after items [0..i-1] have taken
+   their turn, so each class's representative is its lowest index
+   whatever the pool width or the order workers finish parsing in. *)
+type classes = {
+  lock : Mutex.t;
+  turn_taken : Condition.t;
+  mutable turn : int;
+  reps : (string, int) Hashtbl.t;  (** fingerprint → representative *)
+}
+
+(* Item [i]'s representative; [None] (an unreadable file) joins no
+   class.  Every item must call this exactly once, or the items after it
+   wait forever. *)
+let take_class cs i fp =
+  Mutex.protect cs.lock (fun () ->
+      while cs.turn <> i do
+        Condition.wait cs.turn_taken cs.lock
+      done;
+      let rep =
+        match fp with
+        | None -> i
+        | Some fp -> (
+            match Hashtbl.find_opt cs.reps fp with
+            | Some j -> j
+            | None ->
+                Hashtbl.add cs.reps fp i;
+                i)
+      in
+      cs.turn <- i + 1;
+      Condition.broadcast cs.turn_taken;
+      rep)
+
+type slot =
+  | Own of item  (** graded here: a representative, or dedup off *)
+  | Member of {
+      rep : int;
+      file : string;
+      diags : Jfeed_analysis.Diagnostic.t list;
+    }  (** answered by [rep]'s item, with its own analysis diagnostics *)
+
+(* A member's item: its representative's, with the member's file and
+   diagnostics.  The grading report, test verdict, degradation reasons,
+   fuel count and trace are α-invariant — the matcher's search is
+   structural, so two α-equivalent programs take the same steps to the
+   same verdict — but analysis diagnostics quote source positions and
+   variable names, which consistent renaming and reformatting do change.
    Raw-fingerprint classes contain byte-identical sources only, so a
    [Rejected] outcome (whose diagnostic quotes exact positions) replays
    verbatim. *)
-let replay_item ?oracle_degrees ~file ~src (r : item) =
-  let member_diags () =
-    match parse_stage src with
-    | Ok parsed -> analyze_stage ?oracle_degrees parsed
-    | Error _ -> []
-  in
+let replay ~file ~diags (r : item) =
   let outcome =
     match r.outcome with
     | Outcome.Rejected _ -> r.outcome
-    | Outcome.Graded rep ->
-        Outcome.Graded { rep with Outcome.diags = member_diags () }
+    | Outcome.Graded rep -> Outcome.Graded { rep with Outcome.diags }
     | Outcome.Degraded (rep, reasons) ->
-        Outcome.Degraded ({ rep with Outcome.diags = member_diags () }, reasons)
+        Outcome.Degraded ({ rep with Outcome.diags }, reasons)
   in
   { r with file; outcome }
 
 let run_batch ?fuel ?deadline_s ?with_tests ?(jobs = 1) ?(traced = false)
     ?(dedup = true) (b : Bundles.t) sources =
-  let grade_one (file, src) =
+  let srcs = Array.of_list sources in
+  let classes =
+    if dedup then
+      Some
+        {
+          lock = Mutex.create ();
+          turn_taken = Condition.create ();
+          turn = 0;
+          reps = Hashtbl.create (2 * Array.length srcs);
+        }
+    else None
+  in
+  let class_of i fp =
+    match classes with None -> i | Some cs -> take_class cs i (fp ())
+  in
+  let assess_one i =
+    let file, src = srcs.(i) in
     (* One fresh tracer per submission, created inside the worker so
        each Domain fills only its own buffers; the merge below is by
        input index (Pool.map's contract), hence deterministic. *)
     let trace = if traced then Trace.create () else Trace.disabled in
     match src with
     | Error e ->
-        {
-          file;
-          outcome = Outcome.Rejected { Outcome.stage = "read"; message = e };
-          fuel_spent = 0;
-          trace;
-        }
-    | Ok src ->
-        grade_submission ?fuel ?deadline_s ?with_tests ~name:file ~trace b
-          src
+        ignore (class_of i (fun () -> None));
+        Own
+          {
+            file;
+            outcome = Outcome.Rejected { Outcome.stage = "read"; message = e };
+            fuel_spent = 0;
+            trace;
+          }
+    | Ok src -> (
+        let budget = budget_of ?fuel ?deadline_s () in
+        let parsed = Trace.with_current trace (fun () -> parse_stage src) in
+        (* [parse_stage] and [Fingerprint.of_parse] are total, so every
+           item reaches its turn. *)
+        let rep =
+          class_of i (fun () ->
+              Some
+                Jfeed_java.Fingerprint.(
+                  to_string
+                    (of_parse src (Result.to_option parsed |> Option.map fst))))
+        in
+        if rep = i then
+          Own
+            (grade_with ~budget ?with_tests ~name:file ~trace b (fun () ->
+                 parsed))
+        else
+          let diags =
+            match parsed with
+            | Error _ -> []
+            | Ok p ->
+                Trace.with_current trace (fun () ->
+                    analyze_stage ~oracle_degrees:(oracle_degrees b) p)
+          in
+          Member { rep; file; diags })
   in
-  let srcs = Array.of_list sources in
-  let n = Array.length srcs in
-  let items, dedup_stats =
-    if not dedup then
-      ( Array.to_list (Jfeed_parallel.Pool.map ~jobs ~f:grade_one srcs),
-        None )
-    else begin
-      (* Group the batch into α-equivalence classes by the same
-         fingerprint the serve cache keys on, grade the first member of
-         each class (fuel charged once, under that representative's own
-         fresh budget), and replay everyone else.  The work list is
-         fixed before any grading starts and results merge by input
-         index, so the dedup path is jobs-invariant like the plain
-         one. *)
-      let rep = Array.init n (fun i -> i) in
-      let tbl = Hashtbl.create (2 * n) in
-      Array.iteri
-        (fun i (_, src) ->
-          match src with
-          | Error _ -> ()
-          | Ok s ->
-              let fp =
-                Jfeed_java.Fingerprint.(to_string (of_source s))
-              in
-              (match Hashtbl.find_opt tbl fp with
-              | Some j -> rep.(i) <- j
-              | None -> Hashtbl.add tbl fp i))
-        srcs;
-      let work =
-        Array.of_list
-          (List.filter (fun i -> rep.(i) = i) (List.init n Fun.id))
-      in
-      let graded =
-        Jfeed_parallel.Pool.map ~jobs ~f:(fun i -> grade_one srcs.(i)) work
-      in
-      let by_idx = Hashtbl.create (2 * Array.length work) in
-      Array.iteri (fun k i -> Hashtbl.add by_idx i graded.(k)) work;
-      let replayed = ref 0 in
-      let od = oracle_degrees b in
-      let items =
-        List.init n (fun i ->
-            if rep.(i) = i then Hashtbl.find by_idx i
-            else begin
-              incr replayed;
-              let file, src = srcs.(i) in
-              let src = match src with Ok s -> s | Error e -> e in
-              replay_item ~oracle_degrees:od ~file ~src
-                (Hashtbl.find by_idx rep.(i))
-            end)
-      in
-      (items, Some { classes = Hashtbl.length tbl; replayed = !replayed })
-    end
+  let slots =
+    Jfeed_parallel.Pool.map ~jobs ~f:assess_one
+      (Array.init (Array.length srcs) Fun.id)
+  in
+  let replayed = ref 0 in
+  let items =
+    Array.to_list
+      (Array.map
+         (function
+           | Own it -> it
+           | Member { rep; file; diags } -> (
+               incr replayed;
+               match slots.(rep) with
+               | Own r -> replay ~file ~diags r
+               | Member _ -> assert false (* a representative owns its slot *)))
+         slots)
+  in
+  let dedup_stats =
+    Option.map
+      (fun cs -> { classes = Hashtbl.length cs.reps; replayed = !replayed })
+      classes
   in
   (match dedup_stats with
   | Some d ->

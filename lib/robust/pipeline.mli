@@ -20,6 +20,14 @@
 
     Only unparseable input is [Rejected]. *)
 
+val parse_stage :
+  string ->
+  (Jfeed_java.Ast.program * Jfeed_java.Srcmap.t, Outcome.diagnostic) result
+(** The pipeline's parse of a source string, recorded as a [parse] span
+    of the ambient tracer: the program with its source map, or the
+    diagnostic a [Rejected] outcome carries (stage ["lex"] or
+    ["parse"]).  Total. *)
+
 val grade_guarded :
   ?budget:Jfeed_budget.Budget.t ->
   ?normalize:bool ->
@@ -146,23 +154,28 @@ val run_batch :
     domain writes only its own buffers; traces merge deterministically
     by submission index like every other item field.
 
-    [?dedup] (default on) first groups the batch into α-equivalence
-    classes by the serve cache's fingerprint
-    ({!Jfeed_java.Fingerprint}: α-rename + canonical-print hash, raw
-    bytes for unparseable input), grades only the {e first} member of
-    each class — fuel is charged once, under that representative's own
-    fresh budget — and replays the representative's item for every other
-    member.  The grading report, test verdict, degradation reasons,
-    fuel count and trace are α-invariant, so each replayed line is
-    byte-identical to what independent grading would have produced,
-    except analysis diagnostics (which quote member positions and
-    variable names) — those are re-computed from the member's own bytes.
-    Unique submissions are unaffected, and the work list is fixed before
-    grading starts, so the dedup path is jobs-invariant like the plain
-    one.  Deadline budgets carry the same caveat as jobs-invariance:
+    The batch is {e one} {!Jfeed_parallel.Pool.map} over every input:
+    each item is parsed once, in its worker, and everything after the
+    parse works from that AST; the calling domain only assembles the
+    items afterwards.
+
+    [?dedup] (default on) groups the batch into α-equivalence classes by
+    the serve cache's fingerprint ({!Jfeed_java.Fingerprint}: α-rename +
+    canonical-print hash of the item's AST, raw bytes for unparseable
+    input), taken in index order inside the pool, so the representative
+    of a class is always its lowest-index member, at any [jobs].  Only
+    representatives are graded — fuel is charged once, under the
+    representative's own fresh budget — and every other member replays
+    its representative's item.  The grading report, test verdict,
+    degradation reasons, fuel count and trace are α-invariant, so each
+    replayed line is byte-identical to what independent grading would
+    have produced, except analysis diagnostics (which quote member
+    positions and variable names): those each member computes from its
+    own AST.  Deadline budgets carry the same caveat as jobs-invariance:
     wall-clock cut-offs are not reproducible, deduped or not.
-    [~dedup:false] restores strict per-submission grading (and drops the
-    summary's [dedup] field). *)
+    [~dedup:false] is the same pass without the classes: every
+    submission is graded on its own, and the summary has no [dedup]
+    field. *)
 
 val summary_to_json : ?traces:bool -> summary -> string
 (** Stable field order, one submission per line:

@@ -1,21 +1,11 @@
 (** Submission → cache key.  See normalize.mli. *)
 
-type fingerprint = { ast : bool; digest : string }
-
-(* The α-rename + canonical-print hash itself lives in
-   {!Jfeed_java.Fingerprint} so batch dedup (lib/robust) shares the
-   exact definition without depending on the serving tier. *)
-let fingerprint src =
-  let fp = Jfeed_java.Fingerprint.of_source src in
-  { ast = fp.Jfeed_java.Fingerprint.ast; digest = fp.Jfeed_java.Fingerprint.digest }
-
 let cache_key ~assignment ~fuel ~deadline_s ~with_tests src =
-  let fp = fingerprint src in
+  let fp = Jfeed_java.Fingerprint.of_source src in
   let key =
-    Printf.sprintf "%s|%s|%s:%s|fuel=%s|dl=%s|tests=%b" assignment
+    Printf.sprintf "%s|%s|%s|fuel=%s|dl=%s|tests=%b" assignment
       (Jfeed_kb.Bundles.revision ())
-      (if fp.ast then "ast" else "raw")
-      fp.digest
+      (Jfeed_java.Fingerprint.to_string fp)
       (match fuel with Some f -> string_of_int f | None -> "-")
       (match deadline_s with Some d -> Printf.sprintf "%g" d | None -> "-")
       with_tests

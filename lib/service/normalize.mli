@@ -6,8 +6,8 @@
     grade's {e structure}: consistent variable renamings, whitespace,
     comments.  The fingerprint is the digest of the {e canonically
     α-renamed, canonically pretty-printed} AST
-    ({!Jfeed_java.Normalize.alpha_rename} then
-    {!Jfeed_java.Pretty.program}); when the submission does not parse,
+    ({!Jfeed_java.Fingerprint}: {!Jfeed_java.Normalize.alpha_rename}
+    then {!Jfeed_java.Pretty.program}); when the submission does not parse,
     it falls back to a digest of the raw bytes — unparseable inputs are
     [Rejected] with a parse diagnostic that quotes line/column, so only
     the exact same byte string may share that outcome.
@@ -17,20 +17,13 @@
     ({!Jfeed_kb.Bundles.revision} — a KB edit invalidates every entry),
     and the effective budget/test configuration of the request. *)
 
-type fingerprint = {
-  ast : bool;  (** true: α-normalized AST digest; false: raw-bytes digest *)
-  digest : string;  (** hex *)
-}
-
-val fingerprint : string -> fingerprint
-
 val cache_key :
   assignment:string ->
   fuel:int option ->
   deadline_s:float option ->
   with_tests:bool ->
   string ->
-  string * fingerprint
+  string * Jfeed_java.Fingerprint.t
 (** [cache_key ~assignment ~fuel ~deadline_s ~with_tests source] — the
     composed key, deterministic in its inputs (and in the compiled-in
     KB via the revision component). *)

@@ -225,7 +225,10 @@ let one_flip_case (b : Bundles.t) =
 let test_reference_memo () =
   let got =
     Jfeed_parallel.Pool.map ~jobs:2
-      ~f:(fun (b : Bundles.t) -> (Bundles.reference b, Bundles.oracle_degrees b))
+      ~f:(fun (b : Bundles.t) ->
+        ( Bundles.reference b,
+          Bundles.oracle_degrees b,
+          Bundles.expected_outputs b ))
       (Array.of_list (Bundles.all @ Bundles.all))
   in
   List.iteri
@@ -234,12 +237,17 @@ let test_reference_memo () =
       let fresh =
         Jfeed_java.Parser.parse_program (Jfeed_gen.Spec.reference b.Bundles.gen)
       in
-      let r, d = got.(i) and r', d' = got.(i + List.length Bundles.all) in
+      let r, d, e = got.(i) and r', d', e' = got.(i + List.length Bundles.all) in
       Alcotest.(check bool) (id ^ ": one parse per bundle") true
         (r == r' && r == Bundles.reference b);
       Alcotest.(check bool) (id ^ ": same AST as a fresh parse") true (r = fresh);
       Alcotest.(check bool) (id ^ ": degrees") true
-        (d = d' && d = Jfeed_absint.Passes.method_degrees fresh))
+        (d = d' && d = Jfeed_absint.Passes.method_degrees fresh);
+      Alcotest.(check bool) (id ^ ": one expected-output list per bundle")
+        true
+        (e == e' && e == Bundles.expected_outputs b);
+      Alcotest.(check (list string)) (id ^ ": expected outputs of a fresh run")
+        (Jfeed_ftest.Runner.expected_outputs b.Bundles.suite fresh) e)
     Bundles.all
 
 let one_flip_tests =

@@ -10,23 +10,6 @@ module Budget = Jfeed_budget.Budget
 let check = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
-(* Pool.chunks: a deterministic, exact decomposition *)
-
-let prop_chunks_partition =
-  QCheck.Test.make ~count:300 ~name:"chunks partition 0..n-1 in order"
-    QCheck.(pair (int_bound 500) (int_bound 32))
-    (fun (n, jobs) ->
-      let cs = Pool.chunks ~n ~jobs:(jobs + 1) in
-      let covered =
-        List.concat_map (fun (s, l) -> List.init l (fun i -> s + i)) cs
-      in
-      covered = List.init n Fun.id && List.for_all (fun (_, l) -> l > 0) cs)
-
-let test_chunks_empty () =
-  Alcotest.(check (list (pair int int))) "no items, no chunks" []
-    (Pool.chunks ~n:0 ~jobs:4)
-
-(* ------------------------------------------------------------------ *)
 (* Pool.map: sequential semantics at any width *)
 
 let prop_map_equals_array_map =
@@ -109,10 +92,55 @@ let test_parallel_more_jobs_than_items () =
   in
   Alcotest.(check string) "jobs:8 on one item" (run 1) (run 8)
 
+(* One corpus crossing every dedup path: interleaved α-duplicates and
+   byte-identical copies, unparseable and too-deeply-nested sources
+   (raw-fingerprint classes, themselves duplicated), and an unreadable
+   file, which joins no class. *)
+let test_batch_dedup_one_pass () =
+  let b = corpus_bundle in
+  let src i = Jfeed_gen.Spec.source_of_index b.Bundles.gen i in
+  (* Generated indices 0–2 differ only in names; 3 and 6 do not. *)
+  let a = src 0 and c = src 3 and d = src 6 in
+  let deep =
+    "void f() { int x = " ^ String.make 5_000 '(' ^ "1"
+    ^ String.make 5_000 ')' ^ "; }"
+  in
+  let garbage = "int int int (((" in
+  let batch =
+    [
+      ("a.java", Ok a);
+      ("c.java", Ok c);
+      ("a_renamed.java", Ok (Jfeed_gen.Mutate.alpha_rename ~seed:3 a));
+      ("garbage.java", Ok garbage);
+      ("unreadable.java", Error "Permission denied");
+      ("c_reflowed.java", Ok (Jfeed_gen.Mutate.rename_and_reflow ~seed:5 c));
+      ("a_copy.java", Ok a);
+      ("deep.java", Ok deep);
+      ("garbage_copy.java", Ok garbage);
+      ("garbage_other.java", Ok (garbage ^ " "));
+      ("deep_copy.java", Ok deep);
+      ("a_variant.java", Ok (src 2));
+      ("d.java", Ok d);
+    ]
+  in
+  let run ~jobs ~dedup = Pipeline.run_batch ~fuel:500_000 ~jobs ~dedup b batch in
+  let json ~jobs ~dedup = Pipeline.summary_to_json (run ~jobs ~dedup) in
+  let d1 = json ~jobs:1 ~dedup:true in
+  Alcotest.(check string) "jobs:2 equals jobs:1" d1 (json ~jobs:2 ~dedup:true);
+  Alcotest.(check string) "jobs:4 equals jobs:1" d1 (json ~jobs:4 ~dedup:true);
+  Alcotest.(check string) "dedup equals --no-dedup but for its field"
+    (json ~jobs:1 ~dedup:false)
+    (Test_properties.strip_dedup d1);
+  Alcotest.(check string) "--no-dedup is jobs-invariant"
+    (json ~jobs:1 ~dedup:false) (json ~jobs:4 ~dedup:false);
+  match (run ~jobs:4 ~dedup:true).Pipeline.dedup with
+  | Some { Pipeline.classes; replayed } ->
+      Alcotest.(check (pair int int)) "classes, replayed" (6, 6)
+        (classes, replayed)
+  | None -> Alcotest.fail "dedup stats missing"
+
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_chunks_partition;
-    Alcotest.test_case "chunks: empty input" `Quick test_chunks_empty;
     QCheck_alcotest.to_alcotest prop_map_equals_array_map;
     Alcotest.test_case "map: exception in index order" `Quick
       test_map_exception_first_index;
@@ -123,4 +151,6 @@ let suite =
       test_parallel_batch_byte_identical;
     Alcotest.test_case "more jobs than items" `Quick
       test_parallel_more_jobs_than_items;
+    Alcotest.test_case "batch dedup in one pass, every path" `Quick
+      test_batch_dedup_one_pass;
   ]

@@ -257,6 +257,52 @@ let prop_dedup_byte_identity =
       let d4 = json ~jobs:4 ~dedup:true in
       d1 = d4 && strip_dedup d1 = base)
 
+let prop_fingerprint_of_pipeline_parse =
+  (* The batch fingerprints the AST its one parse produced
+     ([Pipeline.parse_stage], the located parser) rather than parsing
+     again; that must give the serve cache's [of_source] fingerprint on
+     every input: generated submissions of all twelve assignments, their
+     α-renamed, re-flowed and fault-injected mutants, and the fuzz
+     mutations (garbage bytes, deep nesting, deleted spans…). *)
+  let gen =
+    QCheck.Gen.(
+      let* bi = int_bound (List.length Bundles.all - 1) in
+      let b = List.nth Bundles.all bi in
+      let* idx = int_bound (Jfeed_gen.Spec.size b.Bundles.gen - 1) in
+      let* seed = int_bound 10_000 in
+      let* kind = int_bound 5 in
+      return (bi, idx, seed, kind))
+  in
+  let source (bi, idx, seed, kind) =
+    let b = List.nth Bundles.all bi in
+    let src = Jfeed_gen.Spec.source_of_index b.Bundles.gen idx in
+    match kind with
+    | 0 -> src
+    | 1 -> Jfeed_gen.Mutate.alpha_rename ~seed src
+    | 2 -> Jfeed_gen.Mutate.rename_and_reflow ~seed src
+    | 3 -> (
+        match Jfeed_gen.Mutate.fault_inject ~seed src with
+        | Some (m, _) -> m
+        | None -> src)
+    | 4 -> Test_robust.deep_nesting (Test_robust.lcg seed) src
+    | _ -> Test_robust.mutate (Test_robust.lcg seed) src
+  in
+  let print ((bi, idx, seed, kind) as k) =
+    let b = List.nth Bundles.all bi in
+    Printf.sprintf "%s #%d seed %d kind %d: %S" b.Bundles.grading.Grader.a_id
+      idx seed kind
+      (let s = source k in
+       String.sub s 0 (min 200 (String.length s)))
+  in
+  QCheck.Test.make ~count:200
+    ~name:"fingerprint: of_source = fingerprint of the pipeline's parse"
+    (QCheck.make ~print gen) (fun k ->
+      let src = source k in
+      let fp = Jfeed_java.Fingerprint.of_source src in
+      match Jfeed_robust.Pipeline.parse_stage src with
+      | Ok (prog, _) -> fp = Jfeed_java.Fingerprint.of_program prog
+      | Error _ -> fp = Jfeed_java.Fingerprint.of_raw src)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -271,4 +317,5 @@ let suite =
       prop_canonical_text_reparses;
       prop_plan_matches_naive;
       prop_dedup_byte_identity;
+      prop_fingerprint_of_pipeline_parse;
     ]

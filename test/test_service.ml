@@ -189,14 +189,16 @@ let test_metrics_percentiles () =
 
 let base_source = Spec.source_of_index Bundles.assignment1.Bundles.gen 0
 
-let key src =
-  fst
-    (Normalize.cache_key ~assignment:"assignment1" ~fuel:None ~deadline_s:None
-       ~with_tests:true src)
+let key_and_fp src =
+  Normalize.cache_key ~assignment:"assignment1" ~fuel:None ~deadline_s:None
+    ~with_tests:true src
+
+let key src = fst (key_and_fp src)
+let fingerprint src = snd (key_and_fp src)
 
 let test_fingerprint_collapses_names () =
-  let fp = Normalize.fingerprint base_source in
-  check "parses to an AST fingerprint" true fp.Normalize.ast;
+  let fp = fingerprint base_source in
+  check "parses to an AST fingerprint" true fp.Jfeed_java.Fingerprint.ast;
   check_str "α-renaming preserved the key" (key base_source)
     (key (Mutate.alpha_rename ~seed:7 base_source));
   check_str "whitespace preserved the key" (key base_source)
@@ -220,10 +222,10 @@ let test_key_scoping () =
      String.length r = 32 && contains ~sub:r k)
 
 let test_fingerprint_raw_fallback () =
-  let fp = Normalize.fingerprint "int int int (((" in
-  check "unparseable falls back to raw bytes" false fp.Normalize.ast;
+  let fp = fingerprint "int int int (((" in
+  check "unparseable falls back to raw bytes" false fp.Jfeed_java.Fingerprint.ast;
   check "raw fallback is byte-exact" false
-    (Normalize.fingerprint "int int int ((( " = fp)
+    (fingerprint "int int int ((( " = fp)
 
 let prop_mutants_share_key =
   (* ≥60 generated mutants across all twelve assignment spaces: each

@@ -5,6 +5,7 @@
 
 open Jfeed_kb
 open Jfeed_robust
+module Budget = Jfeed_budget.Budget
 module Trace = Jfeed_trace.Trace
 module Proto = Jfeed_service.Proto
 module Metrics = Jfeed_service.Metrics
